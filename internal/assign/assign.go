@@ -55,22 +55,15 @@ func (r *Random) Assign(p *core.Pool, worker string) (core.TaskID, bool) {
 // back to the front of the queue, so reclaimed work is re-issued first.
 // On a pool without leases InFlight equals AnswerCount, so behavior is
 // identical to the pre-lease policy.
+//
+// Unlike the other policies it does not scan EligibleFor: the pool's
+// assignment index (core.Pool.FewestInFlight) keeps open tasks bucketed
+// by in-flight count, so a pick costs the same at any pool size.
 type FewestAnswers struct{}
 
 // Assign implements core.Assigner.
 func (FewestAnswers) Assign(p *core.Pool, worker string) (core.TaskID, bool) {
-	el := p.EligibleFor(worker)
-	if len(el) == 0 {
-		return 0, false
-	}
-	best := el[0]
-	bestN := p.InFlight(best)
-	for _, id := range el[1:] {
-		if n := p.InFlight(id); n < bestN {
-			best, bestN = id, n
-		}
-	}
-	return best, true
+	return p.FewestInFlight(worker)
 }
 
 // Uncertainty assigns the eligible task whose current vote distribution

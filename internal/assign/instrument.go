@@ -37,8 +37,8 @@ type instrumented struct {
 }
 
 // Assign implements core.Assigner. The policy runs under the pool lock,
-// so the recorded latency is pure policy cost (eligibility scan + scoring),
-// not lock wait.
+// so the recorded latency is pure policy cost (finding candidate tasks and
+// scoring them), not lock wait.
 func (a *instrumented) Assign(p *core.Pool, worker string) (core.TaskID, bool) {
 	var start time.Time
 	if a.latency != nil {

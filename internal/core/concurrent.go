@@ -7,9 +7,10 @@ import (
 )
 
 // ConcurrentPool makes a Pool safe for concurrent use by guarding it with
-// an RWMutex: reads (task lookup, eligibility scans, statistics, assigner
-// runs) proceed in parallel, while mutations (Add, Record, Close) take the
-// write lock. The single-threaded Pool keeps its lock-free API for the
+// an RWMutex: reads (task lookup, eligibility scans, statistics, and the
+// lease-free Assign) proceed in parallel, while mutations (Add, Record,
+// Close, and AssignLease, which leases the task it picks) take the write
+// lock. The single-threaded Pool keeps its lock-free API for the
 // simulator hot loops; the serving layer wraps it here.
 //
 // The wrapper also maintains a monotonically increasing version counter,
@@ -120,9 +121,15 @@ func (cp *ConcurrentPool) appendedSinceLocked(since uint64, dst []Answer) ([]Ans
 // pool must not be mutated directly while the wrapper is in use; read-only
 // access from other goroutines remains safe as long as no one bypasses the
 // wrapper for writes.
+//
+// The pool's assignment index is built here, eagerly: Assign runs the
+// policy under the read lock, where building it lazily would be a write.
 func NewConcurrentPool(p *Pool) *ConcurrentPool {
 	if p == nil {
 		p = NewPool()
+	}
+	if p.idx == nil {
+		p.idx = newAssignIndex(p)
 	}
 	return &ConcurrentPool{pool: p}
 }
@@ -211,11 +218,14 @@ func (cp *ConcurrentPool) Unrecord(a Answer) bool {
 // Close marks a task as finished under the write lock. The answer log
 // stays valid across a Close: the version moves (closing changes what
 // assigners may hand out) but the answer set does not, so a delta
-// spanning the close is correctly empty.
+// spanning the close is correctly empty. Closing an unknown task changes
+// nothing: no version bump, no journal record.
 func (cp *ConcurrentPool) Close(id TaskID) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	cp.pool.Close(id)
+	if !cp.pool.Close(id) {
+		return
+	}
 	cp.version.Add(1)
 	if cp.journal != nil {
 		cp.journal.TaskClosed(id)

@@ -42,7 +42,13 @@ func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
 		m = make(map[string]time.Time)
 		p.leases[id] = m
 	}
+	_, held := m[worker]
+	from := p.InFlight(id)
 	m[worker] = deadline
+	if !held {
+		p.nLeases++
+		p.reindex(id, from)
+	}
 	// Mirror every (deadline, task, worker) into the expiry heap. Released
 	// or re-leased entries go stale in the heap and are discarded lazily
 	// when their deadline pops — see ExpireLeases.
@@ -51,9 +57,20 @@ func (p *Pool) Lease(id TaskID, worker string, deadline time.Time) error {
 }
 
 // releaseLease drops the (task, worker) lease if one exists, reporting
-// whether it did. Called when a submission consumes the lease, when a
-// sweep expires it, and when the task closes.
+// whether it did, and moves the task down one bucket of the assignment
+// index. Called when a sweep expires the lease and by journal replay.
 func (p *Pool) releaseLease(id TaskID, worker string) bool {
+	from := p.InFlight(id)
+	if !p.dropLease(id, worker) {
+		return false
+	}
+	p.reindex(id, from)
+	return true
+}
+
+// dropLease is releaseLease without the index update, for Record, which
+// moves the task once for its answer and its consumed lease together.
+func (p *Pool) dropLease(id TaskID, worker string) bool {
 	m := p.leases[id]
 	if m == nil {
 		return false
@@ -62,6 +79,7 @@ func (p *Pool) releaseLease(id TaskID, worker string) bool {
 		return false
 	}
 	delete(m, worker)
+	p.nLeases--
 	if len(m) == 0 {
 		delete(p.leases, id)
 	}
@@ -80,13 +98,7 @@ func (p *Pool) HasLease(worker string, id TaskID) bool {
 func (p *Pool) LeaseCount(id TaskID) int { return len(p.leases[id]) }
 
 // ActiveLeases returns the total number of outstanding leases.
-func (p *Pool) ActiveLeases() int {
-	n := 0
-	for _, m := range p.leases {
-		n += len(m)
-	}
-	return n
-}
+func (p *Pool) ActiveLeases() int { return p.nLeases }
 
 // InFlight returns committed answers plus outstanding leases for a task —
 // the count assigners balance on, so that a task already handed out is not

@@ -31,7 +31,11 @@ func (b *Budget) RegisterMetrics(reg *obs.Registry) {
 // to the assignment or recording paths. No-op on a nil registry.
 func (cp *ConcurrentPool) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("crowdkit_pool_tasks", func() float64 { return float64(cp.Len()) })
-	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 { return float64(len(cp.OpenTasks())) })
+	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 {
+		var n int
+		cp.View(func(p *Pool) { n = p.OpenCount() })
+		return float64(n)
+	})
 	reg.GaugeFunc("crowdkit_pool_answers", func() float64 { return float64(cp.TotalAnswers()) })
 	reg.GaugeFunc("crowdkit_pool_active_leases", func() float64 { return float64(cp.ActiveLeases()) })
 	reg.GaugeFunc("crowdkit_pool_in_flight", func() float64 {
@@ -55,7 +59,15 @@ func (cp *ConcurrentPool) RegisterMetrics(reg *obs.Registry) {
 // one label outrunning the others. No-op on a nil registry.
 func (sp *ShardedPool) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("crowdkit_pool_tasks", func() float64 { return float64(sp.Len()) })
-	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 { return float64(len(sp.OpenTasks())) })
+	reg.GaugeFunc("crowdkit_pool_open_tasks", func() float64 {
+		var n int
+		sp.ViewAll(func(pools []*Pool) {
+			for _, p := range pools {
+				n += p.OpenCount()
+			}
+		})
+		return float64(n)
+	})
 	reg.GaugeFunc("crowdkit_pool_answers", func() float64 { return float64(sp.TotalAnswers()) })
 	reg.GaugeFunc("crowdkit_pool_active_leases", func() float64 { return float64(sp.ActiveLeases()) })
 	reg.GaugeFunc("crowdkit_pool_in_flight", func() float64 {

@@ -12,7 +12,15 @@ import (
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
 // hot loops pay no synchronization cost. Concurrent callers (the HTTP
-// serving layer) wrap it in a ConcurrentPool instead.
+// serving layer) wrap it in a ConcurrentPool or ShardedPool instead.
+//
+// Besides the maps, a pool keeps O(1) counters of answers and leases for
+// statistics and, on pools that serve assignments, an assignment index
+// (index.go) that FewestInFlight walks instead of scanning every task.
+// The wrappers build the index when they take the pool; a bare Pool
+// builds it on its first FewestInFlight call. Copies made by Clone,
+// SplitPool and MergePools carry no index, so journal replicas and
+// snapshot copies never pay for one.
 type Pool struct {
 	tasks   map[TaskID]*Task
 	order   []TaskID // insertion order, for deterministic iteration
@@ -30,6 +38,11 @@ type Pool struct {
 	// consumed or extended leases are deleted lazily; see ExpireLeases.
 	leaseHeap []leaseEntry
 	nextID    TaskID
+	// nAnswers and nLeases count every recorded answer and outstanding
+	// lease, so TotalAnswers and ActiveLeases cost O(1).
+	nAnswers, nLeases int
+	// idx is the assignment index, nil until built; see index.go.
+	idx *assignIndex
 }
 
 // NewPool returns an empty pool.
@@ -58,6 +71,8 @@ func (p *Pool) Clone() *Pool {
 		leases:    make(map[TaskID]map[string]time.Time, len(p.leases)),
 		leaseHeap: append([]leaseEntry(nil), p.leaseHeap...),
 		nextID:    p.nextID,
+		nAnswers:  p.nAnswers,
+		nLeases:   p.nLeases,
 	}
 	for id, t := range p.tasks {
 		c.tasks[id] = t
@@ -103,6 +118,9 @@ func (p *Pool) Add(t *Task) (TaskID, error) {
 	}
 	p.tasks[t.ID] = t
 	p.order = append(p.order, t.ID)
+	if p.idx != nil {
+		p.idx.added(p, t.ID)
+	}
 	return t.ID, nil
 }
 
@@ -157,10 +175,13 @@ func (p *Pool) Record(a Answer) error {
 	} else if n > 0 {
 		return fmt.Errorf("core: worker %s already answered task %d", a.Worker, a.Task)
 	}
+	from := p.InFlight(a.Task)
 	wt[a.Task] = n + 1
 	p.answers[a.Task] = append(p.answers[a.Task], a)
+	p.nAnswers++
 	// The submission consumes any outstanding lease for this assignment.
-	p.releaseLease(a.Task, a.Worker)
+	p.dropLease(a.Task, a.Worker)
+	p.reindex(a.Task, from)
 	return nil
 }
 
@@ -177,7 +198,9 @@ func (p *Pool) Unrecord(a Answer) bool {
 		if as[i] != a {
 			continue
 		}
+		from := p.InFlight(a.Task)
 		p.answers[a.Task] = append(as[:i], as[i+1:]...)
+		p.nAnswers--
 		if len(p.answers[a.Task]) == 0 {
 			delete(p.answers, a.Task)
 		}
@@ -191,6 +214,7 @@ func (p *Pool) Unrecord(a Answer) bool {
 				}
 			}
 		}
+		p.reindex(a.Task, from)
 		return true
 	}
 	return false
@@ -214,13 +238,7 @@ func (p *Pool) AllAnswers() []Answer {
 func (p *Pool) AnswerCount(id TaskID) int { return len(p.answers[id]) }
 
 // TotalAnswers returns the number of answers across all tasks.
-func (p *Pool) TotalAnswers() int {
-	n := 0
-	for _, as := range p.answers {
-		n += len(as)
-	}
-	return n
-}
+func (p *Pool) TotalAnswers() int { return p.nAnswers }
 
 // HasAnswered reports whether the worker already answered the task.
 func (p *Pool) HasAnswered(worker string, id TaskID) bool {
@@ -229,14 +247,28 @@ func (p *Pool) HasAnswered(worker string, id TaskID) bool {
 
 // Close marks a task as finished: no further answers are accepted and
 // assigners skip it. Outstanding leases on the task are dropped — a late
-// submission would be rejected anyway.
-func (p *Pool) Close(id TaskID) {
+// submission would be rejected anyway. Closing an unknown task is a no-op
+// (it must not pre-close a task added later under that ID); Close reports
+// whether the task exists.
+func (p *Pool) Close(id TaskID) bool {
+	if _, ok := p.tasks[id]; !ok {
+		return false
+	}
+	if p.idx != nil && !p.closed[id] {
+		p.idx.remove(p.idx.position(p, id), p.InFlight(id))
+	}
 	p.closed[id] = true
+	p.nLeases -= len(p.leases[id])
 	delete(p.leases, id)
+	return true
 }
 
 // Closed reports whether the task has been closed.
 func (p *Pool) Closed(id TaskID) bool { return p.closed[id] }
+
+// OpenCount returns the number of open tasks in O(1): closed only ever
+// holds tasks of this pool, since Close ignores unknown IDs.
+func (p *Pool) OpenCount() int { return len(p.tasks) - len(p.closed) }
 
 // OpenTasks returns the ids of tasks that are not closed, in insertion
 // order.

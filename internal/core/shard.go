@@ -42,6 +42,7 @@ func SplitPool(p *Pool, n int) []*Pool {
 		sp.order = append(sp.order, id)
 		if as := p.answers[id]; len(as) > 0 {
 			sp.answers[id] = append([]Answer(nil), as...)
+			sp.nAnswers += len(as)
 		}
 		if p.closed[id] {
 			sp.closed[id] = true
@@ -53,6 +54,7 @@ func SplitPool(p *Pool, n int) []*Pool {
 				sp.pushLeaseEntry(leaseEntry{deadline: d, task: id, worker: w})
 			}
 			sp.leases[id] = cm
+			sp.nLeases += len(cm)
 		}
 	}
 	for w, m := range p.perWorker {
@@ -98,6 +100,7 @@ func MergePools(pools []*Pool) *Pool {
 		out.order = append(out.order, id)
 		if as := p.answers[id]; len(as) > 0 {
 			out.answers[id] = append([]Answer(nil), as...)
+			out.nAnswers += len(as)
 		}
 		if p.closed[id] {
 			out.closed[id] = true
@@ -109,6 +112,7 @@ func MergePools(pools []*Pool) *Pool {
 				out.pushLeaseEntry(leaseEntry{deadline: d, task: id, worker: w})
 			}
 			out.leases[id] = cm
+			out.nLeases += len(cm)
 		}
 	}
 	for _, p := range pools {
@@ -363,6 +367,35 @@ func (sp *ShardedPool) ViewAll(fn func(pools []*Pool)) {
 		pools[i] = s.pool
 	}
 	fn(pools)
+}
+
+// PoolStats is the /api/stats aggregate over a set of disjoint pools.
+type PoolStats struct {
+	Tasks, OpenTasks, TotalAnswers, ActiveLeases, Workers int
+}
+
+// StatsOf aggregates disjoint pools, such as the shard pools ViewAll hands
+// its callback, from their O(1) counters. Workers counts distinct workers:
+// each worker is counted on the first pool whose answer map holds it, so
+// the union costs map lookups only, with no sort and no set allocated.
+func StatsOf(pools []*Pool) PoolStats {
+	var st PoolStats
+	for i, p := range pools {
+		st.Tasks += p.Len()
+		st.OpenTasks += p.OpenCount()
+		st.TotalAnswers += p.nAnswers
+		st.ActiveLeases += p.nLeases
+	workers:
+		for w := range p.perWorker {
+			for _, q := range pools[:i] {
+				if _, seen := q.perWorker[w]; seen {
+					continue workers
+				}
+			}
+			st.Workers++
+		}
+	}
+	return st
 }
 
 // EnableDeltaLog turns on the per-shard answer-append log with the given

@@ -113,6 +113,7 @@ func TestMetricsExposition(t *testing.T) {
 		`crowdkit_http_request_seconds_bucket{endpoint="/api/results",le="+Inf"}`,
 		`crowdkit_http_request_seconds_count{endpoint="/api/answer"}`,
 		`crowdkit_pool_tasks 12`,
+		`crowdkit_pool_open_tasks 12`,
 		`crowdkit_pool_answers 36`,
 		`crowdkit_budget_spent_units 36`,
 		`crowdkit_budget_remaining_units`,

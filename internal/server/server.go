@@ -596,22 +596,17 @@ func (s *Server) rollbackAnswer(a core.Answer, golden *bool) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var st StatsDTO
-	s.cpool.ViewAll(func(pools []*core.Pool) {
-		workers := make(map[string]bool)
-		for _, p := range pools {
-			st.Tasks += p.Len()
-			st.OpenTasks += len(p.OpenTasks())
-			st.TotalAnswers += p.TotalAnswers()
-			st.ActiveLeases += p.ActiveLeases()
-			for _, w := range p.Workers() {
-				workers[w] = true
-			}
-		}
-		st.Workers = len(workers)
-	})
-	st.BudgetSpent = s.budget.Spent()
-	st.ExpiredLeases = s.expired.Value()
+	var ps core.PoolStats
+	s.cpool.ViewAll(func(pools []*core.Pool) { ps = core.StatsOf(pools) })
+	st := StatsDTO{
+		Tasks:         ps.Tasks,
+		OpenTasks:     ps.OpenTasks,
+		TotalAnswers:  ps.TotalAnswers,
+		Workers:       ps.Workers,
+		BudgetSpent:   s.budget.Spent(),
+		ActiveLeases:  ps.ActiveLeases,
+		ExpiredLeases: s.expired.Value(),
+	}
 	if s.screen != nil {
 		st.Eliminated = len(s.screen.EliminatedWorkers())
 	}

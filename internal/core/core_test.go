@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -500,107 +499,5 @@ func TestBudgetConcurrentTryCharge(t *testing.T) {
 	}
 	if b.Spent() != total {
 		t.Fatalf("spent = %v, want %v", b.Spent(), float64(total))
-	}
-}
-
-func TestConcurrentPoolDelegation(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	v0 := cp.Version()
-	id, err := cp.Add(binaryTask(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Version() == v0 {
-		t.Fatal("Add did not bump the version")
-	}
-	if cp.Task(id) == nil || cp.Len() != 1 {
-		t.Fatal("task lookup through wrapper failed")
-	}
-	v1 := cp.Version()
-	if err := cp.Record(Answer{Task: id, Worker: "w1", Option: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if cp.Version() == v1 {
-		t.Fatal("Record did not bump the version")
-	}
-	v2 := cp.Version()
-	// Rejected answers must not bump the version (caches stay valid).
-	if err := cp.Record(Answer{Task: id, Worker: "w1", Option: 0}); err == nil {
-		t.Fatal("duplicate answer accepted")
-	}
-	if cp.Version() != v2 {
-		t.Fatal("rejected Record bumped the version")
-	}
-	if cp.AnswerCount(id) != 1 || cp.TotalAnswers() != 1 {
-		t.Fatal("answer counts wrong through wrapper")
-	}
-	if !cp.HasAnswered("w1", id) || cp.HasAnswered("w2", id) {
-		t.Fatal("HasAnswered wrong through wrapper")
-	}
-	if got := cp.Answers(id); len(got) != 1 || got[0].Worker != "w1" {
-		t.Fatalf("Answers = %v", got)
-	}
-	if votes := cp.OptionVotes(id); votes[1] != 1 {
-		t.Fatalf("OptionVotes = %v", votes)
-	}
-	if ws := cp.Workers(); len(ws) != 1 || ws[0] != "w1" {
-		t.Fatalf("Workers = %v", ws)
-	}
-	cp.Close(id)
-	if !cp.Closed(id) || len(cp.OpenTasks()) != 0 {
-		t.Fatal("Close not visible through wrapper")
-	}
-	if len(cp.EligibleFor("w2")) != 0 {
-		t.Fatal("closed task still eligible")
-	}
-}
-
-func TestConcurrentPoolParallelAccess(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	const tasks = 40
-	ids := make([]TaskID, tasks)
-	for i := 0; i < tasks; i++ {
-		id, err := cp.Add(binaryTask(TaskID(i+1), 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := fmt.Sprintf("w%d", w)
-			for {
-				id, ok := cp.Assign(firstOpen, worker)
-				if !ok {
-					return
-				}
-				if err := cp.Record(Answer{Task: id, Worker: worker, Option: 1}); err != nil {
-					errCh <- err
-					return
-				}
-				// Interleave reads with the writes.
-				_ = cp.TotalAnswers()
-				_ = cp.TaskIDs()
-				cp.View(func(p *Pool) { _ = p.OpenTasks() })
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if got := cp.TotalAnswers(); got != tasks*workers {
-		t.Fatalf("answers = %d, want %d", got, tasks*workers)
-	}
-	for _, id := range ids {
-		if cp.AnswerCount(id) != workers {
-			t.Fatalf("task %d has %d answers", id, cp.AnswerCount(id))
-		}
 	}
 }

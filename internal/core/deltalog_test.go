@@ -10,128 +10,135 @@ func choiceTask(id TaskID) *Task {
 	return &Task{ID: id, Kind: SingleChoice, Options: []string{"a", "b"}}
 }
 
+// logShard returns a single-shard pool and its shard, so the answer-log
+// tests can read the log under the shard's own lock.
+func logShard() (*ShardedPool, *shard) {
+	sp := NewShardedPool(nil, 1)
+	return sp, sp.shards[0]
+}
+
 func TestAnswerLogCoversAppends(t *testing.T) {
-	cp := NewConcurrentPool(nil)
+	sp, s := logShard()
 	for i := 1; i <= 4; i++ {
-		if _, err := cp.Add(choiceTask(TaskID(i))); err != nil {
+		if _, err := sp.Add(choiceTask(TaskID(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cp.EnableAnswerLog(64)
-	v0 := cp.Version()
+	sp.EnableDeltaLog(64)
+	v0 := sp.Version()
 
 	// Before anything lands, the delta from v0 is empty but covered.
-	cp.mu.RLock()
-	got, ok := cp.appendedSinceLocked(v0, nil)
-	cp.mu.RUnlock()
+	s.mu.RLock()
+	got, ok := s.appendedSinceLocked(v0, nil)
+	s.mu.RUnlock()
 	if !ok || len(got) != 0 {
 		t.Fatalf("empty window: got %v, covered=%v", got, ok)
 	}
 
 	a1 := Answer{Task: 1, Worker: "w1", Option: 0}
 	a2 := Answer{Task: 2, Worker: "w1", Option: 1}
-	if err := cp.Record(a1); err != nil {
+	if err := sp.Record(a1); err != nil {
 		t.Fatal(err)
 	}
-	v1 := cp.Version()
+	v1 := sp.Version()
 	// A batch shares one post-bump version.
 	batch := []Answer{a2, {Task: 2, Worker: "w1", Option: 1}} // duplicate rejected
-	errs := cp.RecordAll(batch)
+	errs := sp.RecordBatch(0, batch)
 	if errs[0] != nil || errs[1] == nil {
 		t.Fatalf("batch errors = %v", errs)
 	}
 	// Closing a task bumps the version but appends no answers; the log
 	// stays valid across it.
-	cp.Close(4)
+	sp.Close(4)
 
-	cp.mu.RLock()
-	defer cp.mu.RUnlock()
-	if got, ok := cp.appendedSinceLocked(v0, nil); !ok || !reflect.DeepEqual(got, []Answer{a1, a2}) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if got, ok := s.appendedSinceLocked(v0, nil); !ok || !reflect.DeepEqual(got, []Answer{a1, a2}) {
 		t.Fatalf("delta since v0 = (%v, %v), want both answers", got, ok)
 	}
-	if got, ok := cp.appendedSinceLocked(v1, nil); !ok || !reflect.DeepEqual(got, []Answer{a2}) {
+	if got, ok := s.appendedSinceLocked(v1, nil); !ok || !reflect.DeepEqual(got, []Answer{a2}) {
 		t.Fatalf("delta since v1 = (%v, %v), want the batch answer", got, ok)
 	}
-	if got, ok := cp.appendedSinceLocked(cp.Version(), nil); !ok || len(got) != 0 {
+	if got, ok := s.appendedSinceLocked(sp.Version(), nil); !ok || len(got) != 0 {
 		t.Fatalf("delta since head = (%v, %v), want empty", got, ok)
 	}
 	// A window starting before the log was enabled is not covered.
-	if _, ok := cp.appendedSinceLocked(v0-1, nil); ok {
-		t.Fatal("window predating EnableAnswerLog reported as covered")
+	if _, ok := s.appendedSinceLocked(v0-1, nil); ok {
+		t.Fatal("window predating EnableDeltaLog reported as covered")
 	}
 }
 
 func TestAnswerLogStructuralInvalidation(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	if _, err := cp.Add(choiceTask(1)); err != nil {
+	sp, s := logShard()
+	if _, err := sp.Add(choiceTask(1)); err != nil {
 		t.Fatal(err)
 	}
-	cp.EnableAnswerLog(64)
-	v0 := cp.Version()
+	sp.EnableDeltaLog(64)
+	v0 := sp.Version()
 	a := Answer{Task: 1, Worker: "w1", Option: 0}
-	if err := cp.Record(a); err != nil {
+	if err := sp.Record(a); err != nil {
 		t.Fatal(err)
 	}
 
 	// Adding a task is structural: old windows die, new ones work.
-	if _, err := cp.Add(choiceTask(2)); err != nil {
+	if _, err := sp.Add(choiceTask(2)); err != nil {
 		t.Fatal(err)
 	}
-	vAdd := cp.Version()
-	cp.mu.RLock()
-	if cp.canDeltaLocked(v0) {
+	vAdd := sp.Version()
+	s.mu.RLock()
+	if s.canDeltaLocked(v0) {
 		t.Fatal("window across a task add reported as covered")
 	}
-	if !cp.canDeltaLocked(vAdd) {
+	if !s.canDeltaLocked(vAdd) {
 		t.Fatal("fresh window after a task add not covered")
 	}
-	cp.mu.RUnlock()
+	s.mu.RUnlock()
 
-	if err := cp.Record(Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
+	if err := sp.Record(Answer{Task: 2, Worker: "w1", Option: 1}); err != nil {
 		t.Fatal(err)
 	}
-	vRec := cp.Version()
+	vRec := sp.Version()
 	// Removing an answer is structural too.
-	if !cp.Unrecord(a) {
+	if !sp.Unrecord(a) {
 		t.Fatal("unrecord missed")
 	}
-	cp.mu.RLock()
-	defer cp.mu.RUnlock()
-	if cp.canDeltaLocked(vRec) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.canDeltaLocked(vRec) {
 		t.Fatal("window across an unrecord reported as covered")
 	}
-	if !cp.canDeltaLocked(cp.Version()) {
+	if !s.canDeltaLocked(sp.Version()) {
 		t.Fatal("fresh window after an unrecord not covered")
 	}
 }
 
 func TestAnswerLogTrim(t *testing.T) {
-	cp := NewConcurrentPool(nil)
-	if _, err := cp.Add(&Task{ID: 1, Kind: MultiChoice, Options: []string{"a", "b"}}); err != nil {
+	sp, s := logShard()
+	if _, err := sp.Add(&Task{ID: 1, Kind: MultiChoice, Options: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
-	cp.EnableAnswerLog(8)
-	v0 := cp.Version()
+	sp.EnableDeltaLog(8)
+	v0 := sp.Version()
 	var vers []uint64
 	for i := 0; i < 12; i++ {
-		if err := cp.Record(Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
+		if err := sp.Record(Answer{Task: 1, Worker: fmt.Sprintf("w%d", i), Option: i % 2}); err != nil {
 			t.Fatal(err)
 		}
-		vers = append(vers, cp.Version())
+		vers = append(vers, sp.Version())
 	}
-	cp.mu.RLock()
-	defer cp.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// The window from the start was trimmed away.
-	if cp.canDeltaLocked(v0) {
+	if s.canDeltaLocked(v0) {
 		t.Fatal("trimmed window reported as covered")
 	}
 	// A window starting at the trim point is covered and returns exactly
 	// the retained tail.
-	if got, ok := cp.appendedSinceLocked(cp.alogTrim, nil); !ok || len(got) != len(cp.alog) {
-		t.Fatalf("tail window = (%d answers, %v), want %d", len(got), ok, len(cp.alog))
+	if got, ok := s.appendedSinceLocked(s.alogTrim, nil); !ok || len(got) != len(s.alog) {
+		t.Fatalf("tail window = (%d answers, %v), want %d", len(got), ok, len(s.alog))
 	}
 	// Recent windows survive the trim.
-	if got, ok := cp.appendedSinceLocked(vers[10], nil); !ok || len(got) != 1 {
+	if got, ok := s.appendedSinceLocked(vers[10], nil); !ok || len(got) != 1 {
 		t.Fatalf("recent window = (%d answers, %v), want 1", len(got), ok)
 	}
 }

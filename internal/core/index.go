@@ -169,10 +169,10 @@ func (p *Pool) reindex(id TaskID, from int) {
 // lowest count up, so its cost follows the tasks it skips (ones this
 // worker answered), not the size of the pool.
 //
-// A pool wrapped by NewConcurrentPool or NewShardedPool has its index
-// built at construction, and this method only reads it, which keeps it
-// safe under the read lock. A bare Pool builds the index on the first
-// call and maintains it from then on.
+// A pool served by NewShardedPool has its index built at construction,
+// and this method only reads it, which keeps it safe under the read lock.
+// A bare Pool builds the index on the first call and maintains it from
+// then on.
 func (p *Pool) FewestInFlight(worker string) (TaskID, bool) {
 	if p.idx == nil {
 		p.idx = newAssignIndex(p)

@@ -290,13 +290,17 @@ func TestAssignIndexShardedSequence(t *testing.T) {
 				return NewShardedPool(p, n)
 			}
 			idx, scan := build(), build()
+			activeLeases := func() (n int) {
+				idx.ViewAll(func(ps []*Pool) { n = StatsOf(ps).ActiveLeases })
+				return n
+			}
 			r := rand.New(rand.NewSource(seed))
 			now := time.Unix(1_000, 0)
 			for step := 0; step < 300; step++ {
 				w := fmt.Sprintf("w%d", r.Intn(6))
 				switch op := r.Intn(10); {
 				case op < 6:
-					leases := idx.ActiveLeases()
+					leases := activeLeases()
 					d := now.Add(time.Duration(1+r.Intn(5)) * time.Second)
 					gotID, gotOK := idx.AssignLease(indexAssigner, w, d)
 					wantID, wantOK := scan.AssignLease(scanAssigner, w, d)
@@ -304,7 +308,7 @@ func TestAssignIndexShardedSequence(t *testing.T) {
 						t.Fatalf("shards %d seed %d step %d worker %s: index (%d,%v), scan (%d,%v)",
 							n, seed, step, w, gotID, gotOK, wantID, wantOK)
 					}
-					if gotOK && idx.ActiveLeases() == leases {
+					if gotOK && activeLeases() == leases {
 						extensions++
 					}
 					if gotOK && r.Intn(3) > 0 {
@@ -409,12 +413,12 @@ func TestCloseUnknownTaskIsNoOp(t *testing.T) {
 			t.Fatalf("shards %d: Close of unknown task bumped version %d→%d, journaled %v", n, v, sp.Version(), j.closed)
 		}
 		sp.Add(binaryTask(7, -1))
-		if sp.Closed(7) {
+		if merged(sp).Closed(7) {
 			t.Fatalf("shards %d: task 7 was born closed", n)
 		}
 		sp.Close(7)
-		if !sp.Closed(7) || len(j.closed) != 1 {
-			t.Fatalf("shards %d: closing a real task: closed %v, journaled %v", n, sp.Closed(7), j.closed)
+		if !merged(sp).Closed(7) || len(j.closed) != 1 {
+			t.Fatalf("shards %d: closing a real task: closed %v, journaled %v", n, merged(sp).Closed(7), j.closed)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package core
 
 // Journal observes committed pool mutations so a durability layer can
-// append them to a write-ahead log. ConcurrentPool invokes the hooks under
-// its write lock, immediately after the mutation is applied and before the
-// lock is released, so the journal sees mutations in exactly the order the
-// pool applied them. Implementations must be fast — buffer and append
+// append them to a write-ahead log. ShardedPool invokes the hooks under
+// the mutating shard's write lock, immediately after the mutation is
+// applied and before the lock is released, so the journal sees each
+// shard's mutations in exactly the order the shard applied them. Implementations must be fast — buffer and append
 // only, never fsync — because they run inside the pool's critical section;
 // the serving layer owns the durability (fsync) point.
 //
@@ -12,7 +12,7 @@ package core
 // answer's journal record carries serving-layer context the pool does not
 // have (the unit cost that was charged, the golden-task outcome), and it
 // must be made durable before the client is acked. The server therefore
-// journals answers explicitly after ConcurrentPool.Record succeeds — see
+// journals answers explicitly after ShardedPool.Record succeeds — see
 // server.WithDurability.
 type Journal interface {
 	// TaskAdded is called after a task is registered. The task pointer is

@@ -100,7 +100,7 @@ func BenchmarkExpireLeases(b *testing.B) {
 			b.StopTimer()
 			p := leasedPool(b, n/10, 10, base, time.Hour)
 			b.StartTimer()
-			if got := expireLeasesScan(p, base.Add(24 * time.Hour)); len(got) != n {
+			if got := expireLeasesScan(p, base.Add(24*time.Hour)); len(got) != n {
 				b.Fatalf("expired %d leases, want %d", len(got), n)
 			}
 		}

@@ -132,15 +132,7 @@ func TestCloseDropsLeases(t *testing.T) {
 	}
 }
 
-func TestConcurrentPoolAssignLease(t *testing.T) {
-	p := NewPool()
-	for i := 0; i < 4; i++ {
-		p.MustAdd(binaryTask(TaskID(i+1), 1))
-	}
-	cp := NewConcurrentPool(p)
-	deadline := time.Now().Add(time.Hour)
-	v0 := cp.Version()
-
+func TestShardedPoolLeaseKeepsVersion(t *testing.T) {
 	// fewestInFlight mirrors the serving assigner: balance on in-flight.
 	fewestInFlight := AssignerFunc(func(p *Pool, worker string) (TaskID, bool) {
 		el := p.EligibleFor(worker)
@@ -155,43 +147,52 @@ func TestConcurrentPoolAssignLease(t *testing.T) {
 		}
 		return best, true
 	})
+	for _, n := range []int{1, 4} {
+		p := NewPool()
+		for i := 0; i < 4; i++ {
+			p.MustAdd(binaryTask(TaskID(i+1), 1))
+		}
+		sp := NewShardedPool(p, n)
+		deadline := time.Now().Add(time.Hour)
+		v0 := sp.Version()
 
-	// One worker leasing repeatedly walks the whole pool: each lease
-	// raises that task's in-flight count, steering the next assignment to
-	// an unleased task.
-	seen := map[TaskID]bool{}
-	for i := 0; i < 4; i++ {
-		id, ok := cp.AssignLease(fewestInFlight, "w1", deadline)
-		if !ok {
-			t.Fatalf("assignment %d failed", i)
+		// One worker leasing repeatedly walks the whole pool: each lease
+		// raises that task's in-flight count, steering the next assignment
+		// to an unleased task.
+		seen := map[TaskID]bool{}
+		for i := 0; i < 4; i++ {
+			id, ok := sp.AssignLease(fewestInFlight, "w1", deadline)
+			if !ok {
+				t.Fatalf("shards %d: assignment %d failed", n, i)
+			}
+			if seen[id] {
+				t.Fatalf("shards %d: task %d leased twice before others were covered", n, id)
+			}
+			seen[id] = true
 		}
-		if seen[id] {
-			t.Fatalf("task %d leased twice before others were covered", id)
+		if got := merged(sp).ActiveLeases(); got != 4 {
+			t.Fatalf("shards %d: active leases = %d, want 4", n, got)
 		}
-		seen[id] = true
-	}
-	if cp.ActiveLeases() != 4 {
-		t.Fatalf("active leases = %d, want 4", cp.ActiveLeases())
-	}
-	// Lease bookkeeping must not bump the version: the inference cache
-	// keys on it and assignments never change the answer set.
-	if cp.Version() != v0 {
-		t.Fatalf("lease ops bumped version %d -> %d", v0, cp.Version())
-	}
-	if exp := cp.ExpireLeases(time.Now().Add(2 * time.Hour)); len(exp) != 4 {
-		t.Fatalf("expired %d, want 4", len(exp))
-	}
-	if cp.Version() != v0 {
-		t.Fatal("expiry bumped version")
+		// Lease bookkeeping must not bump the version: the inference cache
+		// keys on it and assignments never change the answer set.
+		if sp.Version() != v0 {
+			t.Fatalf("shards %d: lease ops bumped version %d -> %d", n, v0, sp.Version())
+		}
+		if exp := sp.ExpireLeases(time.Now().Add(2 * time.Hour)); len(exp) != 4 {
+			t.Fatalf("shards %d: expired %d, want 4", n, len(exp))
+		}
+		if sp.Version() != v0 {
+			t.Fatalf("shards %d: expiry bumped version", n)
+		}
 	}
 }
 
-func TestConcurrentPoolLeaseRace(t *testing.T) {
+func TestShardedPoolLeaseRace(t *testing.T) {
 	p := NewPool()
 	for i := 0; i < 8; i++ {
 		p.MustAdd(binaryTask(TaskID(i+1), 1))
 	}
-	cp := NewConcurrentPool(p)
+	sp := NewShardedPool(p, testShards(t))
 	deadline := time.Now().Add(time.Hour)
 
 	var wg sync.WaitGroup
@@ -201,17 +202,17 @@ func TestConcurrentPoolLeaseRace(t *testing.T) {
 			defer wg.Done()
 			w := fmt.Sprintf("w%d", g)
 			for i := 0; i < 8; i++ {
-				if id, ok := cp.AssignLease(firstOpen, w, deadline); ok {
-					_ = cp.Record(Answer{Task: id, Worker: w, Option: 1})
+				if id, ok := sp.AssignLease(firstOpen, w, deadline); ok {
+					_ = sp.Record(Answer{Task: id, Worker: w, Option: 1})
 				}
-				cp.ExpireLeases(time.Now())
+				sp.ExpireLeases(time.Now())
 			}
 		}(g)
 	}
 	wg.Wait()
 	// Every lease was either consumed by its Record or still outstanding;
 	// the sweep found none expired (deadline is an hour out).
-	if got := cp.ActiveLeases(); got != 0 {
+	if got := merged(sp).ActiveLeases(); got != 0 {
 		t.Fatalf("unconsumed leases after all submissions: %d", got)
 	}
 }

@@ -12,12 +12,12 @@ import (
 //
 // Pool is not safe for concurrent use; it stays lock-free so simulator
 // hot loops pay no synchronization cost. Concurrent callers (the HTTP
-// serving layer) wrap it in a ConcurrentPool or ShardedPool instead.
+// serving layer) serve it through a ShardedPool instead.
 //
 // Besides the maps, a pool keeps O(1) counters of answers and leases for
 // statistics and, on pools that serve assignments, an assignment index
 // (index.go) that FewestInFlight walks instead of scanning every task.
-// The wrappers build the index when they take the pool; a bare Pool
+// NewShardedPool builds the index when it takes the pool; a bare Pool
 // builds it on its first FewestInFlight call. Copies made by Clone,
 // SplitPool and MergePools carry no index, so journal replicas and
 // snapshot copies never pay for one.

@@ -130,45 +130,165 @@ func MergePools(pools []*Pool) *Pool {
 	return out
 }
 
-// ShardedPool partitions the serving pool into task-hash shards, each its
-// own ConcurrentPool with its own RWMutex, version counter, lease heap,
-// and journal hook — so writes to different shards never contend on one
-// lock and throughput scales with cores. The facade preserves the
-// ConcurrentPool API and its contracts: per-task calls route by
-// ShardIndex, aggregate calls combine the shards, and Version is the sum
-// of the shard versions (any mutation bumps exactly one shard, so an
-// unchanged sum still proves an unchanged answer set — the /api/results
-// cache invariant).
+// ShardedPool is the goroutine-safe serving pool. It partitions tasks into
+// task-hash shards, each a Pool behind its own RWMutex with its own
+// version counter, lease heap, journal hook and answer-append log, so
+// writes to different shards never contend on one lock and throughput
+// scales with cores. Reads (task lookup and the lease-free Assign)
+// proceed in parallel; mutations (Add, Record, Close, and AssignLease,
+// which leases the task it picks) take the owning shard's write lock.
+// Per-task calls route by ShardIndex and aggregate calls combine the
+// shards.
 //
-// A ShardedPool of one shard delegates every call unchanged, making
-// -shards=1 behaviorally identical to the unsharded server.
+// Version is the sum of the shard versions. Any mutation bumps exactly
+// one shard, so an unchanged sum proves an unchanged answer set, and
+// consumers that derive expensive state from the pool (EM truth inference
+// behind /api/results) key their caches on it.
 type ShardedPool struct {
-	shards []*ConcurrentPool
+	shards []*shard
 
-	// addMu serializes global task-ID allocation across shards (n > 1
-	// only); count tracks total tasks for the ID-0 reassignment quirk.
+	// addMu serializes task-ID allocation and insertion across shards;
+	// count tracks total tasks for the ID-0 reassignment rule of Pool.Add.
 	addMu  sync.Mutex
 	nextID TaskID
-	count  atomic.Int64
+	count  int
 }
 
-// NewShardedPool wraps p (a fresh empty pool when nil) into n shards.
-// n <= 1 wraps p directly in a single shard; n > 1 splits the pool's
-// current contents by task hash. As with NewConcurrentPool, the wrapped
-// pool must not be mutated directly afterwards.
+// shard is one partition of a ShardedPool. mu guards pool and the answer
+// log; version is bumped under the write lock and read without it; journal
+// is installed before the pool is shared.
+type shard struct {
+	mu      sync.RWMutex
+	pool    *Pool
+	version atomic.Uint64
+	// journal, when set, observes mutations under the write lock so a
+	// durability layer sees them in application order. See Journal.
+	journal Journal
+
+	// Answer-append log for incremental readers (EnableDeltaLog). Each
+	// accepted answer is recorded with the version it landed at, so a
+	// reader holding a snapshot at version v can fetch exactly the answers
+	// appended since v instead of re-copying the whole pool. alogTrim is
+	// the oldest version a delta may start from: it advances when the log
+	// is trimmed and jumps to the current version on any structural
+	// mutation (task add, answer removal) that an append log cannot
+	// express. Readers use the *Locked accessors under an already-held
+	// read lock.
+	alog     []answerLogEntry
+	alogCap  int
+	alogTrim uint64
+}
+
+// answerLogEntry records one accepted answer and the pool version after
+// it was applied.
+type answerLogEntry struct {
+	ver uint64
+	ans Answer
+}
+
+// logAnswerLocked appends an accepted answer at the given post-bump
+// version, trimming the oldest half when the log is full. Callers hold
+// the write lock.
+func (s *shard) logAnswerLocked(ver uint64, a Answer) {
+	if s.alogCap <= 0 {
+		return
+	}
+	if len(s.alog) >= s.alogCap {
+		half := len(s.alog) / 2
+		s.alogTrim = s.alog[half-1].ver
+		s.alog = append(s.alog[:0], s.alog[half:]...)
+	}
+	s.alog = append(s.alog, answerLogEntry{ver: ver, ans: a})
+}
+
+// invalidateLogLocked discards the log after a structural mutation: the
+// answer set changed in a way appends cannot express (task added, answer
+// removed), so no delta may span this version. Callers hold the write
+// lock and have already bumped the version.
+func (s *shard) invalidateLogLocked() {
+	if s.alogCap <= 0 {
+		return
+	}
+	s.alog = s.alog[:0]
+	s.alogTrim = s.version.Load()
+}
+
+// canDeltaLocked reports whether the appended answers since version
+// `since` are fully covered by the log. Callers hold at least the read
+// lock.
+func (s *shard) canDeltaLocked(since uint64) bool {
+	return s.alogCap > 0 && since >= s.alogTrim
+}
+
+// appendedSinceLocked appends to dst every answer recorded after version
+// `since`, in application order, and reports whether the log covered the
+// whole window. Callers hold at least the read lock.
+func (s *shard) appendedSinceLocked(since uint64, dst []Answer) ([]Answer, bool) {
+	if !s.canDeltaLocked(since) {
+		return dst, false
+	}
+	// Entries are in ascending version order; skip those at or before the
+	// snapshot.
+	lo, hi := 0, len(s.alog)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.alog[mid].ver <= since {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for _, e := range s.alog[lo:] {
+		dst = append(dst, e.ans)
+	}
+	return dst, true
+}
+
+// assignLease runs the policy on the shard and leases the task it picks
+// until deadline, under the write lock: choosing and leasing are one
+// atomic step, so two workers cannot race past each other's in-flight
+// counts. With fresh set it refuses a pick that merely extends a lease
+// the worker already holds; see ShardedPool.AssignLease.
+func (s *shard) assignLease(a Assigner, worker string, deadline time.Time, fresh bool) (TaskID, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := a.Assign(s.pool, worker)
+	if !ok || fresh && s.pool.HasLease(worker, id) {
+		return 0, false
+	}
+	if err := s.pool.Lease(id, worker, deadline); err != nil {
+		// The assigner returned an unknown or closed task; treat it as no
+		// assignment rather than handing out an untracked slot.
+		return 0, false
+	}
+	if s.journal != nil {
+		s.journal.LeaseIssued(Lease{Task: id, Worker: worker, Deadline: deadline})
+	}
+	return id, true
+}
+
+// NewShardedPool takes p (a fresh empty pool when nil) and serves it as n
+// shards. n <= 1 serves p itself as the single shard; n > 1 splits the
+// pool's current contents by task hash. Either way p must not be mutated
+// directly afterwards.
+//
+// Each shard's assignment index is built here, eagerly: Assign runs the
+// policy under the read lock, where building it lazily would be a write.
 func NewShardedPool(p *Pool, n int) *ShardedPool {
 	if p == nil {
 		p = NewPool()
 	}
-	if n <= 1 {
-		return &ShardedPool{shards: []*ConcurrentPool{NewConcurrentPool(p)}}
+	parts := []*Pool{p}
+	if n > 1 {
+		parts = SplitPool(p, n)
 	}
-	parts := SplitPool(p, n)
-	sp := &ShardedPool{shards: make([]*ConcurrentPool, n), nextID: p.nextID}
+	sp := &ShardedPool{shards: make([]*shard, len(parts)), nextID: p.nextID, count: p.Len()}
 	for i, part := range parts {
-		sp.shards[i] = NewConcurrentPool(part)
+		if part.idx == nil {
+			part.idx = newAssignIndex(part)
+		}
+		sp.shards[i] = &shard{pool: part}
 	}
-	sp.count.Store(int64(p.Len()))
 	return sp
 }
 
@@ -179,8 +299,8 @@ func (sp *ShardedPool) NumShards() int { return len(sp.shards) }
 // ID — callers may use it without any lock.
 func (sp *ShardedPool) ShardFor(id TaskID) int { return ShardIndex(id, len(sp.shards)) }
 
-// shardOf returns the ConcurrentPool owning the task.
-func (sp *ShardedPool) shardOf(id TaskID) *ConcurrentPool {
+// shardOf returns the shard owning the task.
+func (sp *ShardedPool) shardOf(id TaskID) *shard {
 	return sp.shards[ShardIndex(id, len(sp.shards))]
 }
 
@@ -188,9 +308,6 @@ func (sp *ShardedPool) shardOf(id TaskID) *ConcurrentPool {
 // the worker ID, so concurrent workers fan out across shards instead of
 // convoying on shard 0.
 func (sp *ShardedPool) workerShard(worker string) int {
-	if len(sp.shards) == 1 {
-		return 0
-	}
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(worker); i++ {
 		h ^= uint64(worker[i])
@@ -205,35 +322,31 @@ func (sp *ShardedPool) workerShard(worker string) int {
 func (sp *ShardedPool) Version() uint64 {
 	var v uint64
 	for _, s := range sp.shards {
-		v += s.Version()
+		v += s.version.Load()
 	}
 	return v
 }
 
-// SetJournal attaches the mutation journal to every shard. As with
-// ConcurrentPool.SetJournal, call before the pool is shared between
-// goroutines. The journal's hooks run under the mutating shard's write
-// lock; a shard-aware journal (the segmented WAL) routes by task hash and
-// therefore never serializes two shards on one journal lock.
+// SetJournal attaches the mutation journal to every shard; pass nil to
+// detach. Call it before the pool is shared between goroutines (journal
+// installation itself is not synchronized). The journal's hooks run under
+// the mutating shard's write lock; a shard-aware journal (the segmented
+// WAL) routes by task hash and therefore never serializes two shards on
+// one journal lock. Answer recording is not journaled here — see the
+// Journal docs.
 func (sp *ShardedPool) SetJournal(j Journal) {
 	for _, s := range sp.shards {
-		s.SetJournal(j)
+		s.journal = j
 	}
 }
 
-// Add registers a task: the facade allocates a globally unique ID
-// (mirroring Pool.Add's assignment rules), then routes the task to its
-// shard.
+// Add registers a task. It allocates a globally unique ID by Pool.Add's
+// rules and inserts the task into its shard, all under addMu, so two
+// concurrent adds can never both keep the same ID.
 func (sp *ShardedPool) Add(t *Task) (TaskID, error) {
-	if len(sp.shards) == 1 {
-		id, err := sp.shards[0].Add(t)
-		if err == nil {
-			sp.count.Add(1)
-		}
-		return id, err
-	}
 	sp.addMu.Lock()
-	if sp.shardOf(t.ID).Task(t.ID) != nil || t.ID == 0 && sp.count.Load() > 0 {
+	defer sp.addMu.Unlock()
+	if sp.Task(t.ID) != nil || t.ID == 0 && sp.count > 0 {
 		t.ID = sp.nextID
 	}
 	if t.ID >= sp.nextID {
@@ -242,39 +355,114 @@ func (sp *ShardedPool) Add(t *Task) (TaskID, error) {
 		t.ID = sp.nextID
 		sp.nextID++
 	}
-	sp.addMu.Unlock()
-	id, err := sp.shardOf(t.ID).Add(t)
-	if err == nil {
-		sp.count.Add(1)
+	s := sp.shardOf(t.ID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, err := s.pool.Add(t)
+	if err != nil {
+		return id, err
 	}
-	return id, err
+	sp.count++
+	s.version.Add(1)
+	s.invalidateLogLocked()
+	if s.journal != nil {
+		s.journal.TaskAdded(t)
+	}
+	return id, nil
 }
 
-// Record stores an answer on the owning shard.
-func (sp *ShardedPool) Record(a Answer) error { return sp.shardOf(a.Task).Record(a) }
+// Record stores an answer on the owning shard; the version is bumped only
+// when the platform rules accept the answer.
+func (sp *ShardedPool) Record(a Answer) error {
+	s := sp.shardOf(a.Task)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.pool.Record(a); err != nil {
+		return err
+	}
+	s.logAnswerLocked(s.version.Add(1), a)
+	return nil
+}
 
 // RecordBatch stores a batch of answers that all belong to the given
-// shard under one write-lock acquisition; see ConcurrentPool.RecordAll.
-// Callers group answers with ShardFor first — that is what makes batch
-// ingestion pay one lock and one journal append per touched shard.
+// shard under one write-lock acquisition, applying the same platform
+// rules as Record to each. The returned slice is index-aligned with as:
+// nil for accepted answers, the rejection otherwise. The version is
+// bumped once when at least one answer was accepted. Callers group
+// answers with ShardFor first — that is what makes batch ingestion pay
+// one lock, one cache invalidation and one journal append per touched
+// shard.
 func (sp *ShardedPool) RecordBatch(shard int, as []Answer) []error {
-	return sp.shards[shard].RecordAll(as)
+	s := sp.shards[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	errs := make([]error, len(as))
+	accepted := 0
+	for i := range as {
+		if err := s.pool.Record(as[i]); err != nil {
+			errs[i] = err
+		} else {
+			accepted++
+		}
+	}
+	if accepted > 0 {
+		ver := s.version.Add(1)
+		for i := range as {
+			if errs[i] == nil {
+				s.logAnswerLocked(ver, as[i])
+			}
+		}
+	}
+	return errs
 }
 
-// Unrecord removes the most recent answer equal to a from its shard.
-func (sp *ShardedPool) Unrecord(a Answer) bool { return sp.shardOf(a.Task).Unrecord(a) }
+// Unrecord removes the most recent answer equal to a from its shard,
+// reporting whether one was found. The version is bumped on success:
+// consumers may have cached state derived from the answer set that
+// included a, and that set just changed again.
+func (sp *ShardedPool) Unrecord(a Answer) bool {
+	s := sp.shardOf(a.Task)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.pool.Unrecord(a) {
+		return false
+	}
+	s.version.Add(1)
+	s.invalidateLogLocked()
+	return true
+}
 
-// Close marks a task as finished on its shard.
-func (sp *ShardedPool) Close(id TaskID) { sp.shardOf(id).Close(id) }
+// Close marks a task as finished on its shard. The answer log stays valid
+// across a Close: the version moves (closing changes what assigners may
+// hand out) but the answer set does not, so a delta spanning the close is
+// correctly empty. Closing an unknown task changes nothing: no version
+// bump, no journal record.
+func (sp *ShardedPool) Close(id TaskID) {
+	s := sp.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.pool.Close(id) {
+		return
+	}
+	s.version.Add(1)
+	if s.journal != nil {
+		s.journal.TaskClosed(id)
+	}
+}
 
 // Assign runs the assignment policy shard by shard, starting from the
-// worker's home shard, until one yields a task. Each attempt holds only
-// that shard's read lock, so assignments for different workers proceed in
-// parallel even across mutating shards.
+// worker's home shard, until one yields a task. Assigners only read pool
+// state, so each attempt holds only that shard's read lock and
+// assignments for different workers proceed in parallel even across
+// mutating shards.
 func (sp *ShardedPool) Assign(a Assigner, worker string) (TaskID, bool) {
 	start := sp.workerShard(worker)
-	for i := 0; i < len(sp.shards); i++ {
-		if id, ok := sp.shards[(start+i)%len(sp.shards)].Assign(a, worker); ok {
+	for i := range sp.shards {
+		s := sp.shards[(start+i)%len(sp.shards)]
+		s.mu.RLock()
+		id, ok := a.Assign(s.pool, worker)
+		s.mu.RUnlock()
+		if ok {
 			return id, true
 		}
 	}
@@ -288,34 +476,36 @@ func (sp *ShardedPool) Assign(a Assigner, worker string) (TaskID, bool) {
 // the same few leases and fresh tasks on later shards would never be
 // reached — and only when every shard is out of fresh work does it fall
 // back to a plain pass, so a worker polling past the pool size still
-// extends its leases exactly as on the unsharded pool.
+// extends its leases.
+//
+// Lease bookkeeping deliberately does NOT bump the version: leases never
+// change the answer set, and bumping on every assignment would invalidate
+// the /api/results inference cache on each /api/task poll.
 func (sp *ShardedPool) AssignLease(a Assigner, worker string, deadline time.Time) (TaskID, bool) {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].AssignLease(a, worker, deadline)
-	}
 	start := sp.workerShard(worker)
-	for i := 0; i < len(sp.shards); i++ {
-		if id, ok := sp.shards[(start+i)%len(sp.shards)].assignLeaseFresh(a, worker, deadline); ok {
-			return id, true
-		}
-	}
-	for i := 0; i < len(sp.shards); i++ {
-		if id, ok := sp.shards[(start+i)%len(sp.shards)].AssignLease(a, worker, deadline); ok {
-			return id, true
+	for _, fresh := range [2]bool{true, false} {
+		for i := range sp.shards {
+			if id, ok := sp.shards[(start+i)%len(sp.shards)].assignLease(a, worker, deadline, fresh); ok {
+				return id, true
+			}
 		}
 	}
 	return 0, false
 }
 
 // ExpireLeases sweeps every shard and returns the reclaimed assignments
-// in deterministic (task, worker) order across shards.
+// in deterministic (task, worker) order across shards. Like AssignLease,
+// it does not bump the version.
 func (sp *ShardedPool) ExpireLeases(now time.Time) []Lease {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].ExpireLeases(now)
-	}
 	var out []Lease
 	for _, s := range sp.shards {
-		out = append(out, s.ExpireLeases(now)...)
+		s.mu.Lock()
+		exp := s.pool.ExpireLeases(now)
+		if len(exp) > 0 && s.journal != nil {
+			s.journal.LeasesExpired(exp)
+		}
+		s.mu.Unlock()
+		out = append(out, exp...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Task != out[j].Task {
@@ -326,33 +516,11 @@ func (sp *ShardedPool) ExpireLeases(now time.Time) []Lease {
 	return out
 }
 
-// ActiveLeases returns the total outstanding leases across shards.
-func (sp *ShardedPool) ActiveLeases() int {
-	n := 0
-	for _, s := range sp.shards {
-		n += s.ActiveLeases()
-	}
-	return n
-}
-
-// LeaseCount returns the number of outstanding leases on a task.
-func (sp *ShardedPool) LeaseCount(id TaskID) int { return sp.shardOf(id).LeaseCount(id) }
-
-// HasLease reports whether the worker holds a lease on the task.
-func (sp *ShardedPool) HasLease(worker string, id TaskID) bool {
-	return sp.shardOf(id).HasLease(worker, id)
-}
-
-// InFlight returns committed answers plus outstanding leases for a task.
-func (sp *ShardedPool) InFlight(id TaskID) int { return sp.shardOf(id).InFlight(id) }
-
 // ViewAll runs fn with every shard's read lock held (acquired in shard
 // order), giving it a consistent cross-shard snapshot: no mutation can
 // land on any shard while fn runs, so Version observed inside fn is exact
 // for the whole view. fn receives the shard pools indexed by shard; it
-// must not mutate them or retain references past the call. This is the
-// sharded replacement for ConcurrentPool.View on paths (stats, results)
-// that need global consistency.
+// must not mutate them or retain references past the call.
 func (sp *ShardedPool) ViewAll(fn func(pools []*Pool)) {
 	for _, s := range sp.shards {
 		s.mu.RLock()
@@ -399,12 +567,16 @@ func StatsOf(pools []*Pool) PoolStats {
 }
 
 // EnableDeltaLog turns on the per-shard answer-append log with the given
-// per-shard capacity, making ViewDelta's incremental accessors available
-// from each shard's current version onward. See
-// ConcurrentPool.EnableAnswerLog.
+// per-shard capacity (answers retained; half is discarded on overflow),
+// making ViewDelta's incremental accessors available from each shard's
+// current version onward. capacity <= 0 disables the log again.
 func (sp *ShardedPool) EnableDeltaLog(capacity int) {
 	for _, s := range sp.shards {
-		s.EnableAnswerLog(capacity)
+		s.mu.Lock()
+		s.alogCap = capacity
+		s.alog = nil
+		s.alogTrim = s.version.Load()
+		s.mu.Unlock()
 	}
 }
 
@@ -453,122 +625,74 @@ func (v *DeltaView) AppendedSince(shard int, since uint64, dst []Answer) ([]Answ
 // results pipeline snapshots {Versions, delta answers} here, then builds
 // datasets and runs inference outside the locks.
 func (sp *ShardedPool) ViewDelta(fn func(v *DeltaView)) {
-	for _, s := range sp.shards {
-		s.mu.RLock()
-	}
-	defer func() {
-		for i := len(sp.shards) - 1; i >= 0; i-- {
-			sp.shards[i].mu.RUnlock()
+	sp.ViewAll(func(pools []*Pool) {
+		v := &DeltaView{Pools: pools, Versions: make([]uint64, len(pools)), sp: sp}
+		for i, s := range sp.shards {
+			v.Versions[i] = s.version.Load()
 		}
-	}()
-	v := &DeltaView{
-		Pools:    make([]*Pool, len(sp.shards)),
-		Versions: make([]uint64, len(sp.shards)),
-		sp:       sp,
-	}
-	for i, s := range sp.shards {
-		v.Pools[i] = s.pool
-		v.Versions[i] = s.version.Load()
-	}
-	fn(v)
+		fn(v)
+	})
 }
 
-// Task returns the task with the given id, or nil.
-func (sp *ShardedPool) Task(id TaskID) *Task { return sp.shardOf(id).Task(id) }
+// Task returns the task with the given id, or nil. Tasks are immutable
+// once added, so the returned pointer is safe to read without the lock.
+func (sp *ShardedPool) Task(id TaskID) *Task {
+	s := sp.shardOf(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.pool.Task(id)
+}
 
 // Len returns the number of tasks across shards.
 func (sp *ShardedPool) Len() int {
 	n := 0
 	for _, s := range sp.shards {
-		n += s.Len()
+		s.mu.RLock()
+		n += s.pool.Len()
+		s.mu.RUnlock()
 	}
 	return n
 }
 
-// TaskIDs returns every task id: insertion order for a single shard
-// (matching ConcurrentPool), ascending ID order across multiple shards.
-func (sp *ShardedPool) TaskIDs() []TaskID {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].TaskIDs()
-	}
-	var out []TaskID
-	for _, s := range sp.shards {
-		out = append(out, s.TaskIDs()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// LeaseCount returns the number of outstanding leases on a task.
+func (sp *ShardedPool) LeaseCount(id TaskID) int {
+	s := sp.shardOf(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.pool.LeaseCount(id)
 }
 
 // Answers returns a copy of the answers recorded for a task.
-func (sp *ShardedPool) Answers(id TaskID) []Answer { return sp.shardOf(id).Answers(id) }
+func (sp *ShardedPool) Answers(id TaskID) []Answer {
+	s := sp.shardOf(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	src := s.pool.Answers(id)
+	if src == nil {
+		return nil
+	}
+	return append([]Answer(nil), src...)
+}
 
 // AnswerCount returns the number of answers for a task.
-func (sp *ShardedPool) AnswerCount(id TaskID) int { return sp.shardOf(id).AnswerCount(id) }
-
-// TotalAnswers returns the number of answers across all shards.
-func (sp *ShardedPool) TotalAnswers() int {
-	n := 0
-	for _, s := range sp.shards {
-		n += s.TotalAnswers()
-	}
-	return n
+func (sp *ShardedPool) AnswerCount(id TaskID) int {
+	s := sp.shardOf(id)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.pool.AnswerCount(id)
 }
 
-// HasAnswered reports whether the worker already answered the task.
-func (sp *ShardedPool) HasAnswered(worker string, id TaskID) bool {
-	return sp.shardOf(id).HasAnswered(worker, id)
-}
-
-// Closed reports whether the task has been closed.
-func (sp *ShardedPool) Closed(id TaskID) bool { return sp.shardOf(id).Closed(id) }
-
-// OpenTasks returns the ids of open tasks: insertion order for a single
-// shard, ascending ID order across multiple shards.
-func (sp *ShardedPool) OpenTasks() []TaskID {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].OpenTasks()
-	}
-	var out []TaskID
-	for _, s := range sp.shards {
-		out = append(out, s.OpenTasks()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EligibleFor returns open tasks the worker has not answered yet, in the
-// same order contract as OpenTasks.
+// EligibleFor returns the open tasks the worker has not answered yet:
+// insertion order for a single shard, ascending ID order across several.
 func (sp *ShardedPool) EligibleFor(worker string) []TaskID {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].EligibleFor(worker)
-	}
 	var out []TaskID
 	for _, s := range sp.shards {
-		out = append(out, s.EligibleFor(worker)...)
+		s.mu.RLock()
+		out = append(out, s.pool.EligibleFor(worker)...)
+		s.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	if len(sp.shards) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	}
 	return out
 }
-
-// Workers returns the sorted ids of all workers that answered on any
-// shard.
-func (sp *ShardedPool) Workers() []string {
-	if len(sp.shards) == 1 {
-		return sp.shards[0].Workers()
-	}
-	seen := make(map[string]bool)
-	for _, s := range sp.shards {
-		for _, w := range s.Workers() {
-			seen[w] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for w := range seen {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OptionVotes tallies option votes for a choice-type task.
-func (sp *ShardedPool) OptionVotes(id TaskID) []int { return sp.shardOf(id).OptionVotes(id) }

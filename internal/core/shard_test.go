@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// merged copies a sharded pool's state into one Pool ordered the way the
+// serving layer lists tasks: insertion order for a single shard, ascending
+// ID order across several.
+func merged(sp *ShardedPool) *Pool {
+	var p *Pool
+	sp.ViewAll(func(pools []*Pool) { p = MergePools(pools) })
+	return p
+}
+
 func multiTask(id TaskID) *Task {
 	return &Task{ID: id, Kind: MultiChoice, Options: []string{"a", "b", "c"}, GroundTruth: -1}
 }
@@ -233,17 +242,19 @@ func TestShardedPoolMatchesUnsharded(t *testing.T) {
 		return sp
 	}
 	ref := build(1)
+	refM := merged(ref)
 	for _, n := range []int{2, 4, 8} {
 		sp := build(n)
-		if sp.Len() != ref.Len() || sp.TotalAnswers() != ref.TotalAnswers() {
+		spM := merged(sp)
+		if sp.Len() != ref.Len() || spM.TotalAnswers() != refM.TotalAnswers() {
 			t.Fatalf("n=%d: shape diverges: %d/%d tasks, %d/%d answers",
-				n, sp.Len(), ref.Len(), sp.TotalAnswers(), ref.TotalAnswers())
+				n, sp.Len(), ref.Len(), spM.TotalAnswers(), refM.TotalAnswers())
 		}
-		if !reflect.DeepEqual(ref.Workers(), sp.Workers()) {
+		if !reflect.DeepEqual(refM.Workers(), spM.Workers()) {
 			t.Fatalf("n=%d: workers diverge", n)
 		}
-		refIDs := ref.TaskIDs()
-		ids := sp.TaskIDs()
+		refIDs := refM.TaskIDs()
+		ids := spM.TaskIDs()
 		if len(ids) != len(refIDs) {
 			t.Fatalf("n=%d: id count diverges", n)
 		}
@@ -251,10 +262,10 @@ func TestShardedPoolMatchesUnsharded(t *testing.T) {
 			if !reflect.DeepEqual(ref.Answers(id), sp.Answers(id)) {
 				t.Fatalf("n=%d: task %d answers diverge", n, id)
 			}
-			if ref.Closed(id) != sp.Closed(id) {
+			if refM.Closed(id) != spM.Closed(id) {
 				t.Fatalf("n=%d: task %d closed flag diverges", n, id)
 			}
-			if ref.OptionVotes(id) != nil && !reflect.DeepEqual(ref.OptionVotes(id), sp.OptionVotes(id)) {
+			if refM.OptionVotes(id) != nil && !reflect.DeepEqual(refM.OptionVotes(id), spM.OptionVotes(id)) {
 				t.Fatalf("n=%d: task %d votes diverge", n, id)
 			}
 		}
@@ -283,7 +294,7 @@ func TestShardedPoolAssignLease(t *testing.T) {
 			t.Fatalf("task %d assigned twice", id)
 		}
 		got[id] = true
-		if !sp.HasLease("w", id) {
+		if sp.LeaseCount(id) != 1 {
 			t.Fatalf("no lease recorded for assigned task %d", id)
 		}
 		if err := sp.Record(Answer{Task: id, Worker: "w", Option: 0}); err != nil {
@@ -293,8 +304,8 @@ func TestShardedPoolAssignLease(t *testing.T) {
 	if _, ok := sp.AssignLease(firstOpen, "w", deadline); ok {
 		t.Fatal("worker assigned a task it already answered")
 	}
-	if sp.ActiveLeases() != 0 {
-		t.Fatalf("%d leases outstanding after all answers consumed them", sp.ActiveLeases())
+	if got := merged(sp).ActiveLeases(); got != 0 {
+		t.Fatalf("%d leases outstanding after all answers consumed them", got)
 	}
 }
 
@@ -380,6 +391,7 @@ func TestShardedPoolViewAllConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ids := merged(sp).TaskIDs()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -392,7 +404,7 @@ func TestShardedPoolViewAllConsistent(t *testing.T) {
 				return
 			default:
 			}
-			id := sp.TaskIDs()[i%8]
+			id := ids[i%8]
 			_ = sp.Record(Answer{Task: id, Worker: fmt.Sprintf("bg%d", i), Option: 0})
 			i++
 		}
@@ -422,16 +434,160 @@ func TestShardedPoolViewAllConsistent(t *testing.T) {
 
 func TestShardedPoolSingleShardDelegates(t *testing.T) {
 	p := NewPool()
-	for i := 0; i < 5; i++ {
-		p.MustAdd(binaryTask(TaskID(i+1), 0))
+	for _, id := range []TaskID{4, 2, 5, 1, 3} {
+		p.MustAdd(binaryTask(id, 0))
 	}
 	sp := NewShardedPool(p, 1)
 	// Single shard preserves insertion order exactly (the unsharded
 	// contract), not sorted order.
-	if !reflect.DeepEqual(sp.TaskIDs(), []TaskID{1, 2, 3, 4, 5}) {
-		t.Fatalf("single-shard TaskIDs = %v", sp.TaskIDs())
+	want := []TaskID{4, 2, 5, 1, 3}
+	if got := merged(sp).TaskIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("single-shard TaskIDs = %v", got)
+	}
+	if got := sp.EligibleFor("w"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("single-shard EligibleFor = %v", got)
 	}
 	if sp.NumShards() != 1 {
 		t.Fatalf("NumShards = %d", sp.NumShards())
+	}
+}
+
+func TestShardedPoolReadsAndVersion(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		sp := NewShardedPool(nil, n)
+		v0 := sp.Version()
+		id, err := sp.Add(binaryTask(0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Version() == v0 {
+			t.Fatalf("shards %d: Add did not bump the version", n)
+		}
+		if sp.Task(id) == nil || sp.Len() != 1 {
+			t.Fatalf("shards %d: task lookup failed", n)
+		}
+		v1 := sp.Version()
+		if err := sp.Record(Answer{Task: id, Worker: "w1", Option: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if sp.Version() == v1 {
+			t.Fatalf("shards %d: Record did not bump the version", n)
+		}
+		v2 := sp.Version()
+		// Rejected answers must not bump the version (caches stay valid).
+		if err := sp.Record(Answer{Task: id, Worker: "w1", Option: 0}); err == nil {
+			t.Fatalf("shards %d: duplicate answer accepted", n)
+		}
+		if sp.Version() != v2 {
+			t.Fatalf("shards %d: rejected Record bumped the version", n)
+		}
+		if sp.AnswerCount(id) != 1 {
+			t.Fatalf("shards %d: answer count = %d, want 1", n, sp.AnswerCount(id))
+		}
+		got := sp.Answers(id)
+		if len(got) != 1 || got[0].Worker != "w1" {
+			t.Fatalf("shards %d: Answers = %v", n, got)
+		}
+		// Answers hands out a copy: the caller may not alias pool state.
+		got[0].Worker = "mutated"
+		if sp.Answers(id)[0].Worker != "w1" {
+			t.Fatalf("shards %d: Answers aliased the pool's slice", n)
+		}
+		sp.Close(id)
+		if !merged(sp).Closed(id) || len(sp.EligibleFor("w2")) != 0 {
+			t.Fatalf("shards %d: closed task still open or eligible", n)
+		}
+	}
+}
+
+func TestShardedPoolParallelAccess(t *testing.T) {
+	sp := NewShardedPool(nil, testShards(t))
+	const tasks = 40
+	ids := make([]TaskID, tasks)
+	for i := 0; i < tasks; i++ {
+		id, err := sp.Add(binaryTask(TaskID(i+1), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	errCh := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			worker := fmt.Sprintf("w%d", w)
+			for {
+				id, ok := sp.Assign(firstOpen, worker)
+				if !ok {
+					return
+				}
+				if err := sp.Record(Answer{Task: id, Worker: worker, Option: 1}); err != nil {
+					errCh <- err
+					return
+				}
+				// Interleave reads with the writes.
+				_ = sp.Len()
+				_ = sp.EligibleFor(worker)
+				sp.ViewAll(func(pools []*Pool) { _ = StatsOf(pools) })
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if got := merged(sp).TotalAnswers(); got != tasks*workers {
+		t.Fatalf("answers = %d, want %d", got, tasks*workers)
+	}
+	for _, id := range ids {
+		if sp.AnswerCount(id) != workers {
+			t.Fatalf("task %d has %d answers", id, sp.AnswerCount(id))
+		}
+	}
+}
+
+// TestShardedPoolConcurrentAddSameID is the regression test for the
+// concurrent-Add ID race: goroutines adding tasks under the same explicit
+// ID must each get a distinct ID, and every task must be reachable under
+// the ID it got. Before ID allocation and insertion were one critical
+// section, a loser could be re-IDed by its shard's local counter, landing
+// on a shard its new ID does not hash to or duplicating a later ID.
+func TestShardedPoolConcurrentAddSameID(t *testing.T) {
+	const trials, adders = 200, 16
+	for trial := 0; trial < trials; trial++ {
+		sp := NewShardedPool(nil, testShards(t))
+		tasks := make([]*Task, adders)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := range tasks {
+			tasks[g] = binaryTask(7, 0)
+			wg.Add(1)
+			go func(task *Task) {
+				defer wg.Done()
+				<-start
+				if _, err := sp.Add(task); err != nil {
+					t.Error(err)
+				}
+			}(tasks[g])
+		}
+		close(start)
+		wg.Wait()
+		seen := make(map[TaskID]bool, adders)
+		for _, task := range tasks {
+			if seen[task.ID] {
+				t.Fatalf("trial %d: ID %d handed out twice", trial, task.ID)
+			}
+			seen[task.ID] = true
+			if sp.Task(task.ID) != task {
+				t.Fatalf("trial %d: task %d not reachable by its ID", trial, task.ID)
+			}
+		}
+		if sp.Len() != adders {
+			t.Fatalf("trial %d: %d tasks, want %d", trial, sp.Len(), adders)
+		}
 	}
 }

@@ -698,9 +698,9 @@ func (s *Store) BudgetRefunded(amount float64) error {
 }
 
 // TaskAdded, TaskClosed, LeaseIssued, and LeasesExpired implement
-// core.Journal, so the store can be attached to a ConcurrentPool (or each
-// shard of a ShardedPool) with SetJournal. They run under the pool's
-// write lock and therefore must not block on fsync; the records reach
+// core.Journal, so the store can be attached to every shard of a
+// ShardedPool with SetJournal. They run under the mutating shard's write
+// lock and therefore must not block on fsync; the records reach
 // disk with the next answer ack or background flush. Write failures go
 // sticky (visible through Err and the answer path) since the interface
 // cannot surface them.

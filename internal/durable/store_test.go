@@ -429,12 +429,12 @@ func TestConcurrentAppendsAllSurvive(t *testing.T) {
 	}
 }
 
-func TestStoreImplementsJournalThroughConcurrentPool(t *testing.T) {
+func TestStoreImplementsJournalThroughShardedPool(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
 	var _ core.Journal = s
 
-	cp := core.NewConcurrentPool(nil)
+	cp := core.NewShardedPool(nil, 1)
 	cp.SetJournal(s)
 	id0, err := cp.Add(choiceTask(0, false, -1))
 	if err != nil {

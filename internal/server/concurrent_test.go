@@ -122,7 +122,7 @@ func TestConcurrentLoadMixed(t *testing.T) {
 	// One answer per worker per task survived the concurrency. Read via
 	// the server's pool: the seed pool is split (and thus stale) when the
 	// suite runs sharded.
-	for _, id := range srv.cpool.TaskIDs() {
+	for _, id := range taskIDs(srv) {
 		seen := map[string]bool{}
 		for _, a := range srv.cpool.Answers(id) {
 			if seen[a.Worker] {
@@ -319,7 +319,7 @@ func BenchmarkResultsPoll(b *testing.B) {
 	})
 	b.Run("invalidated", func(b *testing.B) {
 		srv := setup(b)
-		ids := srv.cpool.TaskIDs()
+		ids := taskIDs(srv)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := fmt.Sprintf("inv-%d", i)

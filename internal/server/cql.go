@@ -125,7 +125,7 @@ func (j cqlJournal) QueryFinished(session, qid string, status cql.QueryStatus) {
 }
 
 // initCQL builds the gateway and session manager. Called by New once the
-// pool wrapper exists, before observability wiring (which registers the
+// sharded pool exists, before observability wiring (which registers the
 // service's gauges).
 func (s *Server) initCQL() error {
 	if s.cqlCfg == nil {

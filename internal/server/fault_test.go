@@ -95,7 +95,7 @@ func TestLeaseReissueAfterDropout(t *testing.T) {
 		t.Fatalf("budget spent = %v, want %d (only committed answers pay)", st.BudgetSpent, tasks*k)
 	}
 	srv.Close() // stop the reaper before touching the pool directly
-	for _, id := range srv.cpool.TaskIDs() {
+	for _, id := range taskIDs(srv) {
 		if got := srv.cpool.AnswerCount(id); got != k {
 			t.Fatalf("task %d has %d answers, want redundancy %d", id, got, k)
 		}
@@ -134,8 +134,7 @@ func TestLeaseConsumedOnSubmit(t *testing.T) {
 func TestReaperExpiresLeases(t *testing.T) {
 	rng := stats.NewRNG(52)
 	pool := testPool(rng, 1)
-	_, client, _ := newLeaseTestServer(t, pool, nil,
-		WithLeaseTTL(25*time.Millisecond), WithReaperInterval(10*time.Millisecond))
+	_, client, _ := newLeaseTestServer(t, pool, nil, WithLeaseTTL(25*time.Millisecond))
 
 	if _, ok, err := client.FetchTask("ghost"); err != nil || !ok {
 		t.Fatalf("fetch: ok=%v err=%v", ok, err)
@@ -169,8 +168,7 @@ func TestConcurrentChurnReachesRedundancy(t *testing.T) {
 	)
 	rng := stats.NewRNG(53)
 	pool := testPool(rng, tasks)
-	_, client, srv := newLeaseTestServer(t, pool, nil,
-		WithLeaseTTL(20*time.Millisecond), WithReaperInterval(10*time.Millisecond))
+	_, client, srv := newLeaseTestServer(t, pool, nil, WithLeaseTTL(20*time.Millisecond))
 
 	var wg sync.WaitGroup
 	for i := 0; i < churn; i++ {
@@ -228,7 +226,7 @@ func TestConcurrentChurnReachesRedundancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close() // stop the reaper before direct pool reads
-	for _, id := range srv.cpool.TaskIDs() {
+	for _, id := range taskIDs(srv) {
 		if got := srv.cpool.AnswerCount(id); got != honest {
 			t.Fatalf("task %d has %d answers, want %d", id, got, honest)
 		}

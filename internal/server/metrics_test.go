@@ -225,8 +225,7 @@ func TestPprofOptIn(t *testing.T) {
 // the single shared counter.
 func TestExpiredLeaseAccountingConsistent(t *testing.T) {
 	rng := stats.NewRNG(25)
-	_, _, client := newObsServer(t, testPool(rng, 4),
-		WithLeaseTTL(20*time.Millisecond), WithReaperInterval(10*time.Millisecond))
+	_, _, client := newObsServer(t, testPool(rng, 4), WithLeaseTTL(20*time.Millisecond))
 
 	if _, ok, err := client.FetchTask("ghost"); err != nil || !ok {
 		t.Fatalf("fetch: ok=%v err=%v", ok, err)

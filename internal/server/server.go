@@ -9,16 +9,17 @@
 //	GET  /api/results?method=mv|onecoin|ds|glad -> inferred labels
 //	GET  /healthz              -> 200 {"status":"ok"} liveness probe
 //
-// Concurrency model: there is no global server lock. The pool is wrapped
-// in a core.ConcurrentPool (RWMutex: parallel reads/assignments, exclusive
-// writes), the budget is atomic, and the worker screen locks internally,
-// so handlers run in parallel across as many goroutines as net/http
-// spawns. Answer accounting uses a reservation protocol: the handler
-// reserves one budget unit with TryCharge, records the answer, and refunds
-// the unit if the pool rejects the submission — rejected answers never
-// consume budget. /api/results memoizes inference per (method, option
-// count) keyed by the pool's mutation version, so repeated polls between
-// new answers skip EM entirely.
+// Concurrency model: there is no global server lock. The pool is served
+// as a core.ShardedPool (an RWMutex per task-hash shard: parallel
+// reads/assignments, exclusive writes), the budget is atomic, and the
+// worker screen locks internally, so handlers run in parallel across as
+// many goroutines as net/http spawns. Answer accounting uses a
+// reservation protocol: the handler reserves one budget unit with
+// TryCharge, records the answer, and refunds the unit if the pool rejects
+// the submission — rejected answers never consume budget. /api/results
+// memoizes inference per (method, option count) keyed by the pool's
+// mutation version, so repeated polls between new answers skip EM
+// entirely.
 //
 // Fault tolerance: with WithLeaseTTL set, every assignment from /api/task
 // carries a lease. A submission consumes the lease; a worker that vanishes
@@ -78,13 +79,11 @@ type Server struct {
 	cache    *truth.ResultCache
 	mux      *http.ServeMux
 
-	// leaseTTL > 0 enables assignment leases; reaperEvery is the sweep
-	// interval of the background reaper (defaults to leaseTTL/4).
-	leaseTTL    time.Duration
-	reaperEvery time.Duration
-	expired     obs.Counter // leases reclaimed so far; the single source for /api/stats and /metrics
-	stopReaper  chan struct{}
-	closeOnce   sync.Once
+	// leaseTTL > 0 enables assignment leases and the background reaper.
+	leaseTTL   time.Duration
+	expired    obs.Counter // leases reclaimed so far; the single source for /api/stats and /metrics
+	stopReaper chan struct{}
+	closeOnce  sync.Once
 
 	// Incremental results serving (see results.go). resultsWarm seeds EM
 	// from the previous converged state; resultsDelta maintains per-shard
@@ -138,13 +137,6 @@ type Option func(*Server)
 // re-issued. ttl <= 0 leaves leases disabled.
 func WithLeaseTTL(ttl time.Duration) Option {
 	return func(s *Server) { s.leaseTTL = ttl }
-}
-
-// WithReaperInterval overrides how often the background reaper sweeps
-// expired leases (default: leaseTTL/4, at least 10ms). Only meaningful
-// together with WithLeaseTTL.
-func WithReaperInterval(d time.Duration) Option {
-	return func(s *Server) { s.reaperEvery = d }
 }
 
 // WithShards partitions the serving pool into n task-hash shards, each
@@ -216,8 +208,8 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 	for _, opt := range opts {
 		opt(s)
 	}
-	// The pool wrapper is built after the options so WithShards is known;
-	// one shard wraps pool directly (the exact unsharded behavior).
+	// The sharded pool is built after the options so WithShards is known;
+	// one shard serves pool itself (the exact unsharded behavior).
 	s.cpool = core.NewShardedPool(pool, s.shards)
 	if s.resultsDelta {
 		s.cpool.EnableDeltaLog(defaultDeltaLogCap)
@@ -253,14 +245,8 @@ func New(pool *core.Pool, assigner core.Assigner, budget *core.Budget, screen *c
 	}
 	s.mountDebug()
 	if s.leaseTTL > 0 {
-		if s.reaperEvery <= 0 {
-			s.reaperEvery = s.leaseTTL / 4
-		}
-		if s.reaperEvery < 10*time.Millisecond {
-			s.reaperEvery = 10 * time.Millisecond
-		}
 		s.stopReaper = make(chan struct{})
-		go s.reap()
+		go s.reap(max(s.leaseTTL/4, 10*time.Millisecond))
 	}
 	if s.refreshEvery > 0 {
 		s.stopRefresher = make(chan struct{})
@@ -294,11 +280,11 @@ func (s *Server) Close() {
 	})
 }
 
-// reap periodically sweeps expired leases so reclamation does not depend
-// on traffic: even with no /api/task polls in flight, abandoned slots
-// return to the pool within one reaper interval of their deadline.
-func (s *Server) reap() {
-	t := time.NewTicker(s.reaperEvery)
+// reap sweeps expired leases every interval so reclamation does not
+// depend on traffic: even with no /api/task polls in flight, abandoned
+// slots return to the pool within one reaper interval of their deadline.
+func (s *Server) reap(every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {

@@ -42,6 +42,14 @@ func testShards() int {
 	return 1
 }
 
+// taskIDs lists the server's tasks in the order the serving layer reads
+// them (see shardView.taskIDs).
+func taskIDs(srv *Server) []core.TaskID {
+	var ids []core.TaskID
+	srv.cpool.ViewAll(func(ps []*core.Pool) { ids = append(ids, shardView(ps).taskIDs()...) })
+	return ids
+}
+
 func newTestServer(t *testing.T, pool *core.Pool, budget *core.Budget, screen *core.WorkerScreen) (*httptest.Server, *Client) {
 	t.Helper()
 	srv, err := New(pool, assign.FewestAnswers{}, budget, screen, WithShards(testShards()))
